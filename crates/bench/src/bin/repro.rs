@@ -25,6 +25,26 @@ use elastic::scenario::{Engine, ScenarioKind};
 use elastic::{run_scenario, Eq1Params, ScenarioConfig, TrainSpec};
 use simnet::{fig4_rows, figure_rows, ClusterModel, Level, SimScenario};
 
+/// Every section `repro` can run, in the order it runs them; `all` (or no
+/// section and no `--perturb`) selects every one.
+const SECTIONS: &[(&str, fn())] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("fig2", fig2),
+    ("fig4", fig4),
+    ("fig5", || figure("fig5", 0)),
+    ("fig6", || figure("fig6", 1)),
+    ("fig7", || figure("fig7", 2)),
+    ("eq1", eq1),
+    ("fusion", fusion),
+    ("ablate", ablate),
+    ("scenario3", scenario3),
+    ("cascade", cascade),
+    ("policy", policy),
+    ("hier", hier),
+    ("members", members),
+];
+
 fn main() {
     // Multi-process subcommands dispatch before any section logic: `launch`
     // drives N `worker` child processes through a socket-backed elastic run
@@ -66,50 +86,20 @@ fn main() {
             args.push(a);
         }
     }
-    let wants = |k: &str| {
-        (args.is_empty() && perturb_spec.is_none()) || args.iter().any(|a| a == k || a == "all")
-    };
-
-    if wants("table1") {
-        table1();
+    let known = |a: &String| a == "all" || SECTIONS.iter().any(|(key, _)| a == key);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let keys: Vec<&str> = SECTIONS.iter().map(|(key, _)| *key).collect();
+        eprintln!(
+            "repro: unknown section {bad:?}; sections: {} all (or `launch`/`worker`, or --perturb SPEC)",
+            keys.join(" ")
+        );
+        std::process::exit(2);
     }
-    if wants("table2") {
-        table2();
-    }
-    if wants("fig2") {
-        fig2();
-    }
-    if wants("fig4") {
-        fig4();
-    }
-    for (key, idx) in [("fig5", 0usize), ("fig6", 1), ("fig7", 2)] {
-        if wants(key) {
-            figure(key, idx);
+    let run_all = args.is_empty() && perturb_spec.is_none();
+    for (key, run) in SECTIONS {
+        if run_all || args.iter().any(|a| a == key || a == "all") {
+            run();
         }
-    }
-    if wants("eq1") {
-        eq1();
-    }
-    if wants("fusion") {
-        fusion();
-    }
-    if wants("ablate") {
-        ablate();
-    }
-    if wants("scenario3") {
-        scenario3();
-    }
-    if wants("cascade") {
-        cascade();
-    }
-    if wants("policy") {
-        policy();
-    }
-    if wants("hier") {
-        hier();
-    }
-    if wants("members") {
-        members();
     }
     if let Some(spec) = &perturb_spec {
         match parse_perturb_spec(spec) {

@@ -13,8 +13,12 @@ use crate::error::CollError;
 ///   communicator usable (recovery happens above);
 /// * the Gloo context maps *any* failure to a poisoned context.
 ///
-/// Sends must be non-blocking (buffered); receives block until a matching
-/// message arrives or the peer is detected dead.
+/// A send may block until the transport has delivered the message (the
+/// socket backend waits for the receiver's link-layer ack), but never until
+/// the peer posts the matching receive: receivers buffer eagerly, so an
+/// algorithm may send to a peer before receiving from it without deadlock.
+/// Receives block until a matching message arrives or the peer is detected
+/// dead.
 pub trait PeerComm {
     /// Number of peers in the group.
     fn size(&self) -> usize;

@@ -43,7 +43,7 @@ pub struct Context {
     op_timeout: Option<Duration>,
 }
 
-/// Tag layout: `[ctx_id: 23][seq: 21][offset: 20]`, with bit 63 marking
+/// Tag layout: `[ctx_id: 23][seq: 20][offset: 20]`, with bit 63 marking
 /// connection handshakes. Context ids come from the rendezvous epoch, which
 /// the elastic driver bumps on every reconfiguration.
 fn tag_base(ctx_id: u64, seq: u64) -> u64 {

@@ -343,7 +343,7 @@ impl Fabric {
     /// which already retransmit independently).
     fn transmit(&self, src: RankId, dst: RankId, frame: &[u8], mb: &Mailbox) -> bool {
         let perturber = Arc::clone(&self.perturber.read());
-        let verdict = perturber.transmit(src, dst, frame);
+        let verdict = perturber.transmit_borrowed(src, dst, frame);
         if verdict.dropped {
             self.telem.frames_dropped.incr();
         }

@@ -4,10 +4,11 @@
 //! checksum, suppresses duplicate sequence numbers, and reassembles each
 //! (source, tag) channel into order before exposing payloads to the
 //! matching interface — the receiver half of the retransmitting wire
-//! protocol.
+//! protocol. A frame verified elsewhere enters through
+//! [`Mailbox::accept_decoded`].
 
 use crate::ids::RankId;
-use crate::wire::{self, FrameError};
+use crate::wire::{self, Frame, FrameError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
@@ -130,10 +131,17 @@ impl Mailbox {
     /// payload to the matching interface. The return value is the link-layer
     /// ack the sender's retransmission loop acts on.
     pub fn accept_frame(&self, bytes: &[u8]) -> FrameAck {
-        let frame = match wire::decode_frame(bytes) {
-            Ok(f) => f,
-            Err(e) => return FrameAck::Corrupt(e),
-        };
+        match wire::decode_frame(bytes) {
+            Ok(frame) => self.accept_decoded(frame),
+            Err(e) => FrameAck::Corrupt(e),
+        }
+    }
+
+    /// [`Mailbox::accept_frame`] for a frame the caller has already decoded
+    /// and verified (the socket reader decodes once to ack, then hands the
+    /// frame here): duplicate suppression, reassembly and release only.
+    /// Never returns [`FrameAck::Corrupt`].
+    pub fn accept_decoded(&self, frame: Frame) -> FrameAck {
         let mut inner = self.inner.lock();
         let key = (frame.src, frame.tag);
         let ch = inner.channels.entry(key).or_default();

@@ -14,6 +14,7 @@
 //! passes that point, which lets tests perturb only the phase under study.
 
 use crate::ids::RankId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -260,9 +261,10 @@ impl PerturbPlan {
 }
 
 /// One scheduled delivery of (possibly mangled) frame bytes.
-pub struct Delivery {
-    /// Encoded frame bytes as they arrive on the wire.
-    pub bytes: Vec<u8>,
+pub struct Delivery<'a> {
+    /// Encoded frame bytes as they arrive on the wire: the transmitted
+    /// frame itself, borrowed, unless the adversary mangled or held it back.
+    pub bytes: Cow<'a, [u8]>,
     /// Sender-side propagation delay to apply before delivery.
     pub delay: Option<Duration>,
     /// Is this a copy of the frame being transmitted now (as opposed to a
@@ -272,9 +274,9 @@ pub struct Delivery {
 
 /// What the adversary decided for one transmission.
 #[derive(Default)]
-pub struct Verdict {
+pub struct Verdict<'a> {
     /// Deliveries to perform, in arrival order.
-    pub deliveries: Vec<Delivery>,
+    pub deliveries: Vec<Delivery<'a>>,
     /// The current frame was dropped.
     pub dropped: bool,
     /// The current frame had a bit flipped.
@@ -348,10 +350,12 @@ impl Perturber {
 
     /// Decide the fate of one frame transmission on `src → dst`.
     ///
-    /// Returns the deliveries to perform in order. The current frame is
+    /// Returns the deliveries to perform in order. A delivery of the frame
+    /// as sent borrows `frame`, so a clean link costs no copy; only a
+    /// bit-flipped or held-back frame is copied. The current frame is
     /// acknowledged only if a copy of it actually reaches the receiver (the
     /// caller learns that from the receiver's accept result, not from us).
-    pub fn transmit(&self, src: RankId, dst: RankId, frame: &[u8]) -> Verdict {
+    pub fn transmit_borrowed<'a>(&self, src: RankId, dst: RankId, frame: &'a [u8]) -> Verdict<'a> {
         let Some(spec) = self
             .active
             .load(Ordering::SeqCst)
@@ -368,7 +372,7 @@ impl Perturber {
                 .and_then(|s| s.stash.take())
             {
                 v.deliveries.push(Delivery {
-                    bytes: stashed,
+                    bytes: Cow::Owned(stashed),
                     delay: None,
                     current: false,
                 });
@@ -376,7 +380,7 @@ impl Perturber {
             v.deliveries.insert(
                 0,
                 Delivery {
-                    bytes: frame.to_vec(),
+                    bytes: Cow::Borrowed(frame),
                     delay: None,
                     current: true,
                 },
@@ -401,10 +405,10 @@ impl Perturber {
         if rng.chance(spec.drop) {
             v.dropped = true;
         } else {
-            let mut bytes = frame.to_vec();
+            let mut bytes = Cow::Borrowed(frame);
             if rng.chance(spec.corrupt) {
                 let bit = rng.next_u64() as usize % (bytes.len() * 8);
-                bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes.to_mut()[bit / 8] ^= 1 << (bit % 8);
                 v.corrupted = true;
             }
             let delay = rng.chance(spec.delay).then(|| {
@@ -414,7 +418,7 @@ impl Perturber {
             if !flush && !v.corrupted && rng.chance(spec.reorder) {
                 // Hold the frame back; it arrives after the next transmission
                 // on this link (the sender's retransmission heals the gap).
-                st.stash = Some(bytes);
+                st.stash = Some(bytes.into_owned());
                 v.reordered = true;
             } else {
                 v.duplicated = rng.chance(spec.duplicate);
@@ -436,13 +440,37 @@ impl Perturber {
         if flush {
             if let Some(stashed) = st.stash.take() {
                 v.deliveries.push(Delivery {
-                    bytes: stashed,
+                    bytes: Cow::Owned(stashed),
                     delay: None,
                     current: false,
                 });
             }
         }
         v
+    }
+}
+
+#[cfg(test)]
+impl Perturber {
+    /// [`Perturber::transmit_borrowed`] with every delivery copied out, so
+    /// the verdict outlives `frame`.
+    fn transmit(&self, src: RankId, dst: RankId, frame: &[u8]) -> Verdict<'static> {
+        let v = self.transmit_borrowed(src, dst, frame);
+        Verdict {
+            deliveries: v
+                .deliveries
+                .into_iter()
+                .map(|d| Delivery {
+                    bytes: Cow::Owned(d.bytes.into_owned()),
+                    delay: d.delay,
+                    current: d.current,
+                })
+                .collect(),
+            dropped: v.dropped,
+            corrupted: v.corrupted,
+            duplicated: v.duplicated,
+            reordered: v.reordered,
+        }
     }
 }
 

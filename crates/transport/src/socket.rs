@@ -78,6 +78,14 @@ fn trace(msg: impl FnOnce() -> String) {
 /// almost every frame.
 const ACK_GRACE: Duration = Duration::from_millis(1);
 
+/// Further ack-wait allowance per byte of frame. Writing, reading and
+/// verifying a frame takes time in proportion to its length, so a wait
+/// sized for a small frame would resend every large one on a clean link.
+/// 40 ns/B (25 MB/s) adds 21 ms for a 512 KiB frame: a quarter of the
+/// data path's speed even in an unoptimised build (about 100 MB/s on
+/// loopback), so only a lossy or stalled link outlasts it.
+const ACK_WAIT_PER_BYTE: Duration = Duration::from_nanos(40);
+
 /// How long a freshly-accepted connection gets to present its `Hello`.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -880,18 +888,9 @@ impl SocketBackend {
                         payload.extend_from_slice(&frame.tag.to_le_bytes());
                         payload.extend_from_slice(&frame.seq.to_le_bytes());
                         self.enqueue(peer, encode_envelope(StreamKind::Ack, &payload));
-                        match self.mailbox.accept_frame(&env.payload) {
-                            FrameAck::Corrupt(_) => {
-                                // Unreachable: decode_frame above already
-                                // validated the same bytes.
-                                self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                                self.telem.corrupt_frames.incr();
-                            }
-                            FrameAck::Duplicate => {
-                                self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-                                self.telem.dup_suppressed.incr();
-                            }
-                            FrameAck::Accepted => {}
+                        if self.mailbox.accept_decoded(frame) == FrameAck::Duplicate {
+                            self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
+                            self.telem.dup_suppressed.incr();
                         }
                     }
                 }
@@ -1135,17 +1134,24 @@ impl Backend for SocketBackend {
             return Err(TransportError::PeerDead(to));
         }
         let seq = self.next_tx_seq(to, tag);
-        let frame = wire::encode_frame(self.rank, tag, seq, data);
         if to == self.rank {
             // Loopback: no socket, no perturbation — as with the fabric,
-            // a rank's path to itself is its own mailbox.
-            self.mailbox.accept_frame(&frame);
+            // a rank's path to itself is its own mailbox, so there is no
+            // frame to encode and verify.
+            self.mailbox.accept_decoded(wire::Frame {
+                src: self.rank,
+                tag,
+                seq,
+                payload: data.to_vec(),
+            });
         } else {
+            let frame = wire::encode_frame(self.rank, tag, seq, data);
             let policy = self.perturber.read().plan().retry_policy();
+            let transfer = ACK_GRACE + ACK_WAIT_PER_BYTE * frame.len() as u32;
             let mut attempt = 0u32;
             loop {
                 let perturber = Arc::clone(&self.perturber.read());
-                let verdict = perturber.transmit(self.rank, to, &frame);
+                let verdict = perturber.transmit_borrowed(self.rank, to, &frame);
                 if verdict.dropped {
                     self.telem.frames_dropped.incr();
                 }
@@ -1167,7 +1173,7 @@ impl Backend for SocketBackend {
                 }
                 let salt = perturber.backoff_salt(self.rank, to, tag, seq, attempt);
                 let backoff = policy.backoff(attempt, salt);
-                if self.wait_ack(to, tag, seq, backoff + ACK_GRACE) {
+                if self.wait_ack(to, tag, seq, backoff + transfer) {
                     break;
                 }
                 if !self.alive_local(self.rank) {
