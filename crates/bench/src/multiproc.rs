@@ -290,7 +290,8 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     // Cross-process join rendezvous: the same store carries announce/ticket
     // keys; member addresses are already under `{run}/addr/` from the
     // rendezvous above, which is exactly where `NetJoin::contact` looks.
-    let join = ulfm::NetJoin::new(store.clone(), format!("{run_id}/")).with_contact(contact);
+    let join =
+        ulfm::NetJoin::new(Arc::new(store.clone()), format!("{run_id}/")).with_contact(contact);
     let ep = Endpoint::from_backend(Arc::clone(&backend) as Arc<dyn Backend>);
     let (_universe, proc) = if is_joiner {
         Universe::joiner_for_backend(ep, Arc::new(join))

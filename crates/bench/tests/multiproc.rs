@@ -331,6 +331,40 @@ fn upscale_spare_joins_p3_and_matches_members() {
 }
 
 #[test]
+fn spare_admitted_when_run_ends_before_first_epoch_boundary() {
+    // Three steps end before the first epoch boundary (step 4), so no
+    // boundary admission ever runs inside the step loop. The members must
+    // admit the spare once more as training ends instead of leaving it to
+    // wait out the 30 s join deadline.
+    let dir = outdir("spare-short-run-p3");
+    let t0 = Instant::now();
+    let code = launch(
+        &[
+            "--n",
+            "3",
+            "--transport",
+            "unix",
+            "--steps",
+            "3",
+            "--spares",
+            "1",
+            "--join-wait-secs",
+            "30",
+            "--timeout-secs",
+            "60",
+        ],
+        &dir,
+    );
+    let took = t0.elapsed();
+    assert_eq!(code, 0, "launcher audit failed; logs in {}", dir.display());
+    assert_survivors_identical(&results(&dir, 4), &[], 4);
+    assert!(
+        took < Duration::from_secs(10),
+        "the stranded spare was admitted only after {took:?}"
+    );
+}
+
+#[test]
 fn replace_killed_worker_p3_with_spawned_joiner() {
     // True replacement: rank 1 is SIGKILLed mid-allreduce, the survivors
     // shrink (degrading past one joinerless epoch boundary on the short

@@ -15,6 +15,8 @@
 //! here backs the checkpoint-interval ablation bench and cross-checks the
 //! simulated breakdowns.
 
+use simnet::{network, ClusterModel};
+
 /// Parameters of Eq. (1). All costs in seconds; `saving_freq` is the number
 /// of checkpoint saves over the window being modelled.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,7 +74,9 @@ impl Eq1Params {
 }
 
 /// An α–β point-to-point network model, used to calibrate the size-adaptive
-/// allreduce selection ([`collectives::AllreduceAlgo::Auto`]).
+/// allreduce selection ([`collectives::AllreduceAlgo::Auto`]). The time
+/// formulas are `simnet::network`'s closed forms — one set for the runtime
+/// and the simulator:
 ///
 /// * ring allreduce: `2(p−1)·α + 2·((p−1)/p)·n·β` — bandwidth-optimal,
 ///   latency grows linearly with the group;
@@ -92,31 +96,25 @@ pub struct CommModel {
 }
 
 impl CommModel {
-    /// Summit-like constants (the paper's evaluation platform): 1.5 µs
-    /// startup, 23 GB/s injection bandwidth — matching
-    /// `simnet::ClusterModel::summit`.
+    /// The cross-node network of `simnet::ClusterModel::summit` (the
+    /// paper's evaluation platform): 1.5 µs startup, 23 GB/s injection
+    /// bandwidth.
     pub fn summit() -> Self {
+        let c = ClusterModel::summit();
         Self {
-            alpha: 1.5e-6,
-            beta: 1.0 / 23e9,
+            alpha: c.alpha,
+            beta: c.beta,
         }
     }
 
     /// Predicted ring-allreduce time for `n_bytes` over `p` ranks.
     pub fn ring_time(&self, n_bytes: f64, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        2.0 * (pf - 1.0) * self.alpha + 2.0 * ((pf - 1.0) / pf) * n_bytes * self.beta
+        network::ring_allreduce_time(n_bytes, p, self.alpha, self.beta)
     }
 
     /// Predicted recursive-doubling-allreduce time for `n_bytes` over `p`.
     pub fn recursive_doubling_time(&self, n_bytes: f64, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (p as f64).log2().ceil() * (self.alpha + n_bytes * self.beta)
+        network::recursive_doubling_allreduce_time(n_bytes, p, self.alpha, self.beta)
     }
 
     /// The payload size where ring and recursive doubling cost the same.
@@ -146,8 +144,7 @@ impl CommModel {
     /// Best (minimum) predicted flat-allreduce time over the algorithms
     /// the size-adaptive selection can pick.
     pub fn best_time(&self, n_bytes: f64, p: usize) -> f64 {
-        self.ring_time(n_bytes, p)
-            .min(self.recursive_doubling_time(n_bytes, p))
+        network::flat_allreduce_best_time(n_bytes, p, self.alpha, self.beta)
     }
 }
 
@@ -181,14 +178,15 @@ pub struct HierModel {
 }
 
 impl HierModel {
-    /// Summit-like constants: NVLink 2.0 intra-node (≈1 µs launch,
-    /// 150 GB/s per direction) over the cross-node model of
+    /// The links of `simnet::ClusterModel::summit`: NVLink 2.0 intra-node
+    /// (≈1 µs launch, 150 GB/s per direction) over the cross-node model of
     /// [`CommModel::summit`].
     pub fn summit() -> Self {
+        let c = ClusterModel::summit();
         Self {
             intra: CommModel {
-                alpha: 1.0e-6,
-                beta: 1.0 / 150e9,
+                alpha: c.alpha_intra,
+                beta: c.beta_intra,
             },
             cross: CommModel::summit(),
         }
@@ -203,13 +201,15 @@ impl HierModel {
     /// Predicted hierarchical-route time for `p` ranks spread over
     /// `nodes` nodes of at most `local` ranks each.
     pub fn hier_time(&self, n_bytes: f64, nodes: usize, local: usize) -> f64 {
-        let rounds = if local <= 1 {
-            0.0
-        } else {
-            (local as f64).log2().ceil()
-        };
-        let intra = 2.0 * rounds * (self.intra.alpha + n_bytes * self.intra.beta);
-        intra + self.cross.best_time(n_bytes, nodes)
+        network::hier_allreduce_time(
+            n_bytes,
+            nodes,
+            local,
+            self.intra.alpha,
+            self.intra.beta,
+            self.cross.alpha,
+            self.cross.beta,
+        )
     }
 
     /// Should a bucket of `n_bytes` route through the hierarchy on this

@@ -375,12 +375,9 @@ fn run_inner(
         match s {
             Ok(SyncOutcome::Synced(step)) => step,
             Ok(SyncOutcome::GaveUp) => unreachable!("unbounded sync never gives up"),
-            Err(Fatal::Died) => return WorkerExit::Died,
-            Err(Fatal::Excluded) => {
-                return exclude_exit(proc, 0, f32::NAN, recoveries, 0, 0, &model)
-            }
-            Err(Fatal::Aborted) => {
-                return abort_exit(
+            Err(f) => {
+                return fatal_exit(
+                    f,
                     proc,
                     0,
                     f32::NAN,
@@ -695,20 +692,9 @@ fn run_inner(
                                                         step = s;
                                                         continue 'attempt;
                                                     }
-                                                    Err(Fatal::Died) => return WorkerExit::Died,
-                                                    Err(Fatal::Excluded) => {
-                                                        return exclude_exit(
-                                                            proc,
-                                                            step,
-                                                            last_loss,
-                                                            recoveries,
-                                                            world,
-                                                            steps_recomputed,
-                                                            &model,
-                                                        )
-                                                    }
-                                                    Err(Fatal::Aborted) => {
-                                                        return abort_exit(
+                                                    Err(f) => {
+                                                        return fatal_exit(
+                                                            f,
                                                             proc,
                                                             step,
                                                             last_loss,
@@ -727,20 +713,9 @@ fn run_inner(
                                     continue 'attempt;
                                 }
                             }
-                            Err(Fatal::Died) => return WorkerExit::Died,
-                            Err(Fatal::Excluded) => {
-                                return exclude_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    world,
-                                    steps_recomputed,
-                                    &model,
-                                )
-                            }
-                            Err(Fatal::Aborted) => {
-                                return abort_exit(
+                            Err(f) => {
+                                return fatal_exit(
+                                    f,
                                     proc,
                                     step,
                                     last_loss,
@@ -830,141 +805,64 @@ fn run_inner(
 
         // --- epoch boundary: accept joiners (scenarios II & III) ---------
         if cfg.accept_joiners && (step as usize).is_multiple_of(spec.steps_per_epoch) {
-            // Scenario II/III determinism: no epoch boundary passes until
-            // every expected joiner has announced itself. The counter is
-            // monotone and global, so all members unblock on the same
-            // condition regardless of who drains the pending list when.
-            // `join_wait` bounds the stall: past the deadline the group
-            // gives up and continues shrunk rather than waiting on a joiner
-            // that crashed before announcing. Spares are a different
-            // namespace entirely: epoch boundaries never drain the pool.
-            let wait_deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
-            while proc.announced_joiners() < cfg.expected_joiners as u64
-                && wait_deadline.is_none_or(|d| std::time::Instant::now() < d)
-            {
-                std::thread::sleep(std::time::Duration::from_micros(300));
+            if let Err(f) = admit_joiners(
+                proc,
+                cfg,
+                &mut comm,
+                &mut model,
+                &mut opt,
+                step,
+                &mut recoveries,
+                topology,
+                breakdowns,
+            ) {
+                return fatal_exit(
+                    f,
+                    proc,
+                    step,
+                    last_loss,
+                    recoveries,
+                    lr_world,
+                    steps_recomputed,
+                    &model,
+                    &opt,
+                    breakdowns,
+                );
             }
-            // The admission itself is re-entrant: a death mid-handshake
-            // (leader included) fails the commit uniformly, the survivors
-            // shrink, and the shrunk group's new rank 0 re-proposes the
-            // still-pending joiners. The give-up hint below is only the
-            // *leader's* input — the decision every member acts on rides in
-            // the committed proposal, so deadline clocks cannot diverge the
-            // SPMD control flow.
-            loop {
-                let arrived = proc.announced_joiners() >= cfg.expected_joiners as u64;
-                let expired = wait_deadline.is_some_and(|d| std::time::Instant::now() >= d);
-                match comm.accept_joiners_directed(arrived || expired) {
-                    Ok(JoinOutcome::Merged(mut merged)) => {
-                        let mut episode = RecoveryBreakdown::new(RecoveryKind::Join, step);
-                        let mut has_state = true;
-                        let res = checkpoint_sync(
-                            proc,
-                            cfg,
-                            &mut merged,
-                            &mut model,
-                            &mut opt,
-                            &mut has_state,
-                            step,
-                            &None,
-                            SyncOpts {
-                                source: SyncSource::Live,
-                                restore_all: false,
-                                bound: SyncBound::Unbounded,
-                            },
-                            &mut episode,
-                            topology,
-                            &mut recoveries,
-                        );
-                        episode.publish(proc.rank().0);
-                        breakdowns.push(episode);
-                        match res {
-                            Ok(_) => {
-                                comm = merged;
-                                break;
-                            }
-                            Err(Fatal::Died) => return WorkerExit::Died,
-                            Err(Fatal::Excluded) => {
-                                return exclude_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                )
-                            }
-                            Err(Fatal::Aborted) => {
-                                return abort_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                    &opt,
-                                    breakdowns,
-                                )
-                            }
-                        }
-                    }
-                    Ok(JoinOutcome::NoneYet) => {
-                        // Leader asked the group to keep waiting: nobody had
-                        // announced when it proposed. Poll again shortly.
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    Ok(JoinOutcome::StopWaiting) => {
-                        if expired && !arrived {
-                            // Degradation to a shrunk-but-progressing group:
-                            // the expected joiner never came and the leader
-                            // committed giving up on it.
-                            telemetry::counter("elastic.join.wait_timeouts").incr();
-                        }
-                        break;
-                    }
-                    Err(UlfmError::SelfDied) => return WorkerExit::Died,
-                    Err(_) => {
-                        // Failed admission commit (or a death observed on
-                        // entry): recover on the *old* communicator — the
-                        // pending joiners stayed pending — and retry.
-                        recoveries += 1;
-                        let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, step);
-                        let r = recover(proc, cfg, &comm, u64::MAX, &mut episode, topology);
-                        episode.publish(proc.rank().0);
-                        breakdowns.push(breakdowns_last_fix(&mut episode));
-                        match r {
-                            Ok((c, _)) => comm = c,
-                            Err(Fatal::Died) => return WorkerExit::Died,
-                            Err(Fatal::Excluded) => {
-                                return exclude_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                )
-                            }
-                            Err(Fatal::Aborted) => {
-                                return abort_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                    &opt,
-                                    breakdowns,
-                                )
-                            }
-                        }
-                    }
-                }
-            }
+        }
+    }
+
+    // A run that ends before an expected joiner was admitted (it is
+    // shorter than one epoch, or the joiner announced after the last
+    // boundary) runs the boundary admission once more, so the joiner
+    // receives the final state instead of waiting out its deadline. The
+    // admitted count only changes through commits every member took part
+    // in, so all members read the same count here and decide alike; a run
+    // whose expected joiners are all in adds no commit round.
+    if cfg.accept_joiners && proc.admitted_joiners() < cfg.expected_joiners as u64 {
+        if let Err(f) = admit_joiners(
+            proc,
+            cfg,
+            &mut comm,
+            &mut model,
+            &mut opt,
+            step,
+            &mut recoveries,
+            topology,
+            breakdowns,
+        ) {
+            return fatal_exit(
+                f,
+                proc,
+                step,
+                last_loss,
+                recoveries,
+                lr_world,
+                steps_recomputed,
+                &model,
+                &opt,
+                breakdowns,
+            );
         }
     }
 
@@ -986,6 +884,144 @@ fn run_inner(
     WorkerExit::Completed(stats)
 }
 
+/// The epoch-boundary admission (scenarios II & III): wait for the
+/// expected joiners, commit their admission, and synchronize them from
+/// live state. On return `comm` is the (possibly merged) communicator.
+#[allow(clippy::too_many_arguments)]
+fn admit_joiners(
+    proc: &Proc,
+    cfg: &ForwardConfig,
+    comm: &mut Communicator,
+    model: &mut dnn::Model,
+    opt: &mut dnn::Sgd,
+    step: u64,
+    recoveries: &mut usize,
+    topology: transport::Topology,
+    breakdowns: &mut Vec<RecoveryBreakdown>,
+) -> Result<(), Fatal> {
+    // Scenario II/III determinism: no epoch boundary passes until every
+    // expected joiner has announced itself. The counter is monotone and
+    // global, so all members unblock on the same condition regardless of
+    // who drains the pending list when. `join_wait` bounds the stall: past
+    // the deadline the group gives up and continues shrunk rather than
+    // waiting on a joiner that crashed before announcing. Spares are a
+    // different namespace entirely: epoch boundaries never drain the pool.
+    let wait_deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
+    while proc.announced_joiners() < cfg.expected_joiners as u64
+        && wait_deadline.is_none_or(|d| std::time::Instant::now() < d)
+    {
+        std::thread::sleep(std::time::Duration::from_micros(300));
+    }
+    // The admission itself is re-entrant: a death mid-handshake (leader
+    // included) fails the commit uniformly, the survivors shrink, and the
+    // shrunk group's new rank 0 re-proposes the still-pending joiners. The
+    // give-up hint below is only the *leader's* input — the decision every
+    // member acts on rides in the committed proposal, so deadline clocks
+    // cannot diverge the SPMD control flow.
+    loop {
+        let arrived = proc.announced_joiners() >= cfg.expected_joiners as u64;
+        let expired = wait_deadline.is_some_and(|d| std::time::Instant::now() >= d);
+        match comm.accept_joiners_directed(arrived || expired) {
+            Ok(JoinOutcome::Merged(mut merged)) => {
+                let mut episode = RecoveryBreakdown::new(RecoveryKind::Join, step);
+                let mut has_state = true;
+                let res = checkpoint_sync(
+                    proc,
+                    cfg,
+                    &mut merged,
+                    model,
+                    opt,
+                    &mut has_state,
+                    step,
+                    &None,
+                    SyncOpts {
+                        source: SyncSource::Live,
+                        restore_all: false,
+                        bound: SyncBound::Unbounded,
+                    },
+                    &mut episode,
+                    topology,
+                    recoveries,
+                );
+                episode.publish(proc.rank().0);
+                breakdowns.push(episode);
+                res?;
+                *comm = merged;
+                return Ok(());
+            }
+            Ok(JoinOutcome::NoneYet) => {
+                // Leader asked the group to keep waiting: nobody had
+                // announced when it proposed. Poll again shortly.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            Ok(JoinOutcome::StopWaiting) => {
+                if expired && !arrived {
+                    // Degradation to a shrunk-but-progressing group: the
+                    // expected joiner never came and the leader committed
+                    // giving up on it.
+                    telemetry::counter("elastic.join.wait_timeouts").incr();
+                }
+                return Ok(());
+            }
+            Err(UlfmError::SelfDied) => return Err(Fatal::Died),
+            Err(_) => {
+                // Failed admission commit (or a death observed on entry):
+                // recover on the *old* communicator — the pending joiners
+                // stayed pending — and retry.
+                *recoveries += 1;
+                let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, step);
+                let r = recover(proc, cfg, comm, u64::MAX, &mut episode, topology);
+                episode.publish(proc.rank().0);
+                breakdowns.push(episode);
+                *comm = r?.0;
+            }
+        }
+    }
+}
+
+/// The exit of a worker whose recovery ended fatally.
+#[allow(clippy::too_many_arguments)]
+fn fatal_exit(
+    fatal: Fatal,
+    proc: &Proc,
+    step: u64,
+    last_loss: f32,
+    recoveries: usize,
+    world: usize,
+    steps_recomputed: u64,
+    model: &dnn::Model,
+    opt: &dnn::Sgd,
+    breakdowns: &mut Vec<RecoveryBreakdown>,
+) -> WorkerExit {
+    match fatal {
+        Fatal::Died => WorkerExit::Died,
+        Fatal::Excluded => {
+            // Evicted by the drop-node policy.
+            proc.retire();
+            WorkerExit::Excluded(WorkerStats {
+                steps_done: step,
+                final_loss: last_loss,
+                recoveries,
+                final_world: world,
+                state_fingerprint: state_fingerprint(&model.state_flat()),
+                final_lr: f32::NAN,
+                steps_recomputed,
+            })
+        }
+        Fatal::Aborted => abort_exit(
+            proc,
+            step,
+            last_loss,
+            recoveries,
+            world,
+            steps_recomputed,
+            model,
+            opt,
+            breakdowns,
+        ),
+    }
+}
+
 /// Stats for a worker that never trained (dismissed or orphaned spare /
 /// joiner).
 fn idle_stats(model: &dnn::Model) -> WorkerStats {
@@ -1003,28 +1039,6 @@ fn idle_stats(model: &dnn::Model) -> WorkerStats {
 /// Work around borrowck: move the episode out (it was filled in-place).
 fn breakdowns_last_fix(episode: &mut RecoveryBreakdown) -> RecoveryBreakdown {
     std::mem::replace(episode, RecoveryBreakdown::new(RecoveryKind::Forward, 0))
-}
-
-/// Exit path for a worker evicted by the drop-node policy.
-fn exclude_exit(
-    proc: &Proc,
-    step: u64,
-    last_loss: f32,
-    recoveries: usize,
-    world: usize,
-    steps_recomputed: u64,
-    model: &dnn::Model,
-) -> WorkerExit {
-    proc.retire();
-    WorkerExit::Excluded(WorkerStats {
-        steps_done: step,
-        final_loss: last_loss,
-        recoveries,
-        final_world: world,
-        state_fingerprint: state_fingerprint(&model.state_flat()),
-        final_lr: f32::NAN,
-        steps_recomputed,
-    })
 }
 
 /// Exit path for a graceful below-minimum shutdown: release waiting
@@ -1438,11 +1452,17 @@ fn checkpoint_sync(
             }
             // Commit flags: bit0 = my broadcast completed; bit1 = the root
             // holds state of the requested source (non-roots contribute 1
-            // so the AND isolates the root's claim).
+            // so the AND isolates the root's claim). The commit also needs
+            // every member to have taken part: a joiner or promoted spare
+            // that died holding its ticket never does, so the attempt
+            // fails (and a promotion's bound trips) no matter how quickly
+            // the others got here.
             let flags = (sent.is_ok() as u64) | if root { (provides as u64) << 1 } else { 0b10 };
-            match comm.agree(flags, u64::MAX) {
-                Ok(v) if v.flags & 0b10 == 0 => SyncAttempt::Abort,
-                Ok(v) if v.flags & 1 == 1 && v.failed.is_empty() => SyncAttempt::Committed(payload),
+            match comm.agree_all(flags) {
+                Ok((v, _)) if v.flags & 0b10 == 0 => SyncAttempt::Abort,
+                Ok((v, true)) if v.flags & 1 == 1 && v.failed.is_empty() => {
+                    SyncAttempt::Committed(payload)
+                }
                 Ok(_) => SyncAttempt::Retry,
                 Err(UlfmError::SelfDied) => SyncAttempt::Died,
                 Err(e) => unreachable!("agree only fails fatally: {e}"),

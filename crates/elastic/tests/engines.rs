@@ -113,6 +113,31 @@ fn forward_upscale_grows_world() {
 }
 
 #[test]
+fn forward_upscale_shorter_than_one_epoch_admits_joiner_at_end() {
+    // Three steps end before the first epoch boundary, and in-process
+    // joiners wait without a deadline: unless the run admits the joiner as
+    // training ends, it waits forever and the watchdog fires.
+    let mut cfg = quick(Engine::UlfmForward, ScenarioKind::Upscale);
+    cfg.spec.total_steps = 3;
+    cfg.spec.steps_per_epoch = 4;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run_cfg = cfg.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(run_scenario(&run_cfg));
+    });
+    let res = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("short upscale run stranded its joiner (watchdog expired)");
+    assert_eq!(res.completed(), cfg.workers + 1);
+    res.assert_consistent_state();
+    for e in res.exits.iter().filter(|e| e.completed()) {
+        let s = e.stats().unwrap();
+        assert_eq!(s.final_world, cfg.workers + 1);
+        assert_eq!(s.steps_done, 3);
+    }
+}
+
+#[test]
 fn forward_renormalization_keeps_replicas_consistent() {
     let mut cfg = quick(Engine::UlfmForward, ScenarioKind::Downscale);
     cfg.renormalize = true;

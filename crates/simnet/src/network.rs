@@ -47,26 +47,22 @@ pub fn flat_allreduce_best_time(n_bytes: f64, w: usize, alpha: f64, beta: f64) -
 /// `collectives::hier_allreduce`: a binomial reduce to the node leader over
 /// the intra-node fabric, the best flat allreduce among the `nodes` leaders
 /// over the cross-node fabric, then a binomial broadcast back down. The
-/// intra phases each cost `⌈log₂ local⌉·(α_i + n·β_i)` with
-/// `local = ⌈w/nodes⌉` (the largest node gates the phase).
+/// intra phases each cost `⌈log₂ local⌉·(α_i + n·β_i)`, where `local` is
+/// the size of the largest node (it gates the phase): `⌈w/nodes⌉` for the
+/// simulator's evenly packed sweeps, the real largest node at run time.
 ///
-/// This is the same expression as `elastic::cost_model::HierModel` — the
-/// runtime's selection model and the simulator's sweep must agree on what
-/// "hierarchical" costs.
+/// The runtime's route selection (`elastic::HierModel`) calls this same
+/// expression, so the simulator and the hot path agree on what
+/// "hierarchical" costs by construction.
 pub fn hier_allreduce_time(
     n_bytes: f64,
-    w: usize,
     nodes: usize,
+    local: usize,
     alpha_intra: f64,
     beta_intra: f64,
     alpha_cross: f64,
     beta_cross: f64,
 ) -> f64 {
-    if w <= 1 {
-        return 0.0;
-    }
-    let nodes = nodes.clamp(1, w);
-    let local = w.div_ceil(nodes);
     let intra_rounds = if local > 1 {
         (local as f64).log2().ceil()
     } else {
@@ -261,7 +257,7 @@ mod tests {
         // phases and runs the ring over 2048 leaders instead.
         let n = 256.0 * 1024.0 * 1024.0;
         let w = 12_288;
-        let hier = hier_allreduce_time(n, w, w / 6, AI, BI, A, B);
+        let hier = hier_allreduce_time(n, w / 6, 6, AI, BI, A, B);
         let flat = flat_allreduce_best_time(n, w, A, B);
         assert!(hier < flat, "hier {hier} vs flat {flat}");
     }
@@ -274,7 +270,7 @@ mod tests {
         // latency-bound buckets can still flip even at 192 — the sweep
         // covers that — but the training-dominant large buckets do not.)
         for &n in &[1024.0, 256.0e6] {
-            let hier = hier_allreduce_time(n, 192, 32, AI, BI, A, B);
+            let hier = hier_allreduce_time(n, 32, 6, AI, BI, A, B);
             let flat = flat_allreduce_best_time(n, 192, A, B);
             assert!(flat <= hier, "n={n}: flat {flat} vs hier {hier}");
         }
@@ -284,7 +280,7 @@ mod tests {
     fn flat_recursive_doubling_wins_tiny_messages_everywhere() {
         let n = 1024.0;
         for &w in &[192usize, 12_288] {
-            let hier = hier_allreduce_time(n, w, w / 6, AI, BI, A, B);
+            let hier = hier_allreduce_time(n, w / 6, 6, AI, BI, A, B);
             let flat = flat_allreduce_best_time(n, w, A, B);
             assert!(flat <= hier, "w={w}");
         }
@@ -295,28 +291,10 @@ mod tests {
         let n = 4.0e6;
         let w = 64;
         assert_eq!(
-            hier_allreduce_time(n, w, w, AI, BI, A, B),
+            hier_allreduce_time(n, w, 1, AI, BI, A, B),
             flat_allreduce_best_time(n, w, A, B)
         );
         assert_eq!(hier_allreduce_time(n, 1, 1, AI, BI, A, B), 0.0);
-    }
-
-    #[test]
-    fn simnet_and_runtime_cost_models_agree() {
-        // The elastic crate's HierModel gates the hot-path selection; the
-        // simnet closed form drives the sweep. They must be the same curve.
-        let m = elastic::HierModel::summit();
-        for &(w, nodes) in &[(192usize, 32usize), (1536, 256), (12_288, 2048)] {
-            for &n in &[1024.0, 1.0e6, 256.0e6] {
-                let local = w.div_ceil(nodes);
-                let sim = hier_allreduce_time(n, w, nodes, AI, BI, A, B);
-                let rt = m.hier_time(n, nodes, local);
-                assert!(
-                    (sim - rt).abs() <= 1e-12 + rt * 1e-9,
-                    "w={w} n={n}: simnet {sim} vs runtime {rt}"
-                );
-            }
-        }
     }
 
     #[test]

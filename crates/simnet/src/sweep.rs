@@ -175,8 +175,8 @@ pub fn hier_rows(cluster: &ClusterModel) -> Vec<HierRow> {
                 flat_rd: recursive_doubling_allreduce_time(n, workers, cluster.alpha, cluster.beta),
                 hier: hier_allreduce_time(
                     n,
-                    workers,
                     nodes,
+                    workers.div_ceil(nodes),
                     cluster.alpha_intra,
                     cluster.beta_intra,
                     cluster.alpha,

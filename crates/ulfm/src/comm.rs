@@ -405,6 +405,33 @@ impl Communicator {
         self.agree_inner(flag, min_val, false)
     }
 
+    /// [`Communicator::agree`] on `flags` (the low two bits only) that
+    /// also reports whether every member of the group took part — the
+    /// uniform commit of a proposal or a state sync.
+    ///
+    /// The agreed failed set only holds deaths some member had observed
+    /// *on entry*. A member that dies after the others entered but before
+    /// its first message — a joiner or promoted spare killed right after
+    /// its ticket, a member killed at the top of a commit round — is seen
+    /// by nobody on entry, and the bare agreement would then succeed
+    /// around it or not depending on how fast it ran. Here each member
+    /// clears its own participation bit (bit `2 + rank % 62`) of the AND-ed
+    /// word; a bit still set names a member that never took part, and
+    /// flooding makes that uniform: a member counts as present for every
+    /// survivor or for none. Past 62 members the bits alias, and an absent
+    /// member sharing its bit with a present one is caught by the next
+    /// collective instead.
+    pub fn agree_all(&self, flags: u64) -> Result<(AgreeResult, bool), UlfmError> {
+        const CALLER: u64 = 0b11;
+        debug_assert_eq!(flags & !CALLER, 0, "agree_all carries two flag bits");
+        let took_part = |idx: usize| 1u64 << (2 + idx % 62);
+        let everyone = (0..self.size().min(62)).fold(0, |m, i| m | took_part(i));
+        let mut v = self.agree(flags | (!CALLER & !took_part(self.my_idx)), u64::MAX)?;
+        let all = v.flags & everyone == 0;
+        v.flags &= CALLER;
+        Ok((v, all))
+    }
+
     fn agree_inner(&self, flag: u64, min_val: u64, verify: bool) -> Result<AgreeResult, UlfmError> {
         let base = self.next_recovery_base();
         if !verify {
@@ -656,37 +683,7 @@ impl Communicator {
             words.extend(pending.iter().map(|r| r.0 as u64));
             payload = u64::encode_slice(&words);
         }
-        // The broadcast tears itself down reliably on failure (poison
-        // frames unwind the tree), so no member stays blocked and — just
-        // as important — nothing here revokes the communicator: a revoke
-        // would yank a straggler still finishing the previous step's
-        // collectives into the *training* recovery path while we run the
-        // commit agreement, desynchronizing the per-communicator
-        // agreement streams.
-        let proposal = self.bcast(0, &mut payload);
-        if matches!(proposal, Err(UlfmError::SelfDied)) {
-            return Err(UlfmError::SelfDied);
-        }
-
-        // Uniform commit: every member contributes whether it holds the
-        // proposal; any bcast failure or member death aborts the admission
-        // on *all* members alike (no rank may act on a half-delivered
-        // proposal while its peers retry).
-        let ok = proposal.is_ok();
-        let verdict = self.agree(ok as u64, u64::MAX)?;
-        if verdict.flags != 1 || !verdict.failed.is_empty() {
-            telemetry::counter("ulfm.join.failed_commits").incr();
-            // Surface the failure that broke the commit so the caller's
-            // recovery path (revoke → shrink → retry) takes over.
-            if let Some(&g) = verdict.failed.first() {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            if let Some(&g) = self.group.iter().find(|&&g| !self.ep.is_peer_alive(g)) {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            self.revoke();
-            return Err(UlfmError::Revoked);
-        }
+        self.commit_proposal(&mut payload, "ulfm.join.failed_commits")?;
 
         let words = u64::decode_slice(&payload);
         let epoch = words[0];
@@ -791,26 +788,7 @@ impl Communicator {
             words.extend(spares.iter().map(|r| r.0 as u64));
             payload = u64::encode_slice(&words);
         }
-        // Reliable-teardown broadcast + uniform agreement, verbatim from
-        // the join handshake (see accept_joiners_directed for why nothing
-        // here may revoke).
-        let proposal = self.bcast(0, &mut payload);
-        if matches!(proposal, Err(UlfmError::SelfDied)) {
-            return Err(UlfmError::SelfDied);
-        }
-        let ok = proposal.is_ok();
-        let verdict = self.agree(ok as u64, u64::MAX)?;
-        if verdict.flags != 1 || !verdict.failed.is_empty() {
-            telemetry::counter("ulfm.policy.failed_commits").incr();
-            if let Some(&g) = verdict.failed.first() {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            if let Some(&g) = self.group.iter().find(|&&g| !self.ep.is_peer_alive(g)) {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            self.revoke();
-            return Err(UlfmError::Revoked);
-        }
+        self.commit_proposal(&mut payload, "ulfm.policy.failed_commits")?;
 
         let words = u64::decode_slice(&payload);
         let epoch = words[0];
@@ -842,6 +820,46 @@ impl Communicator {
                 Ok(PolicyCommit::Promoted(self.derive(id, merged)))
             }
         }
+    }
+
+    /// Broadcast group rank 0's `payload` and commit it uniformly: every
+    /// member contributes whether it holds the proposal, and the commit
+    /// holds only if all of them do, no failure is known, and every member
+    /// took part ([`Communicator::agree_all`]). Any bcast failure or member
+    /// death aborts the proposal on *all* members alike — no rank may act
+    /// on a half-delivered proposal while its peers retry — and surfaces as
+    /// the recoverable error (counted under `failed_counter`) that hands
+    /// over to the caller's revoke → shrink → retry path.
+    ///
+    /// The broadcast tears itself down reliably on failure (poison frames
+    /// unwind the tree), so no member stays blocked and — just as important
+    /// — nothing here revokes the communicator unless the commit failed
+    /// without a visible death: a revoke would yank a straggler still
+    /// finishing the previous step's collectives into the *training*
+    /// recovery path while we run the commit agreement, desynchronizing the
+    /// per-communicator agreement streams.
+    fn commit_proposal(
+        &self,
+        payload: &mut Vec<u8>,
+        failed_counter: &str,
+    ) -> Result<(), UlfmError> {
+        let proposal = self.bcast(0, payload);
+        if matches!(proposal, Err(UlfmError::SelfDied)) {
+            return Err(UlfmError::SelfDied);
+        }
+        let (verdict, all) = self.agree_all(proposal.is_ok() as u64)?;
+        if verdict.flags == 1 && verdict.failed.is_empty() && all {
+            return Ok(());
+        }
+        telemetry::counter(failed_counter).incr();
+        if let Some(&g) = verdict.failed.first() {
+            return Err(self.map_transport(TransportError::PeerDead(g)));
+        }
+        if let Some(&g) = self.group.iter().find(|&&g| !self.ep.is_peer_alive(g)) {
+            return Err(self.map_transport(TransportError::PeerDead(g)));
+        }
+        self.revoke();
+        Err(UlfmError::Revoked)
     }
 }
 

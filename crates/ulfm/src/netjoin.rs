@@ -1,14 +1,18 @@
-//! Store-backed join rendezvous for multi-process elastic launches.
+//! The join rendezvous: how a new worker announces itself, how members
+//! discover and ticket pending joiners, and how a joiner learns its
+//! admission — the out-of-band channel of the paper's replacement and
+//! upscaling scenarios.
 //!
-//! The in-process [`crate::Universe`] runs its join handshake through a
-//! shared [`crate::universe::JoinService`] object. Across real OS processes
-//! there is no shared memory, so [`NetJoin`] re-implements the same service
-//! surface on top of a [`gloo::Store`] (the rendezvous KV store every
-//! worker can already reach): joiners *announce* by publishing a key,
-//! members *snapshot* the announced set by scanning a prefix, and a
-//! committed admission is materialised as a per-joiner *ticket* key that
-//! the joiner polls for. The two-phase commit itself (leader proposal
-//! broadcast + uniform agreement) still runs over the collective fabric in
+//! [`NetJoin`] is the only implementation, and it keeps all of its state in
+//! a [`gloo::Store`] (the rendezvous KV store every worker can already
+//! reach): joiners *announce* by publishing a key, members *snapshot* the
+//! announced set by scanning a prefix, and a committed admission is
+//! materialised as a per-joiner *ticket* key that the joiner polls for. A
+//! multi-process job gives every process a handle onto the launcher's
+//! network store; an in-process [`crate::Universe`] builds one over a
+//! private [`gloo::KvStore`], so threads-as-ranks run the exact protocol
+//! real processes do. The two-phase commit itself (leader proposal
+//! broadcast + uniform agreement) runs over the collective fabric in
 //! [`crate::Communicator::accept_joiners_directed`]; the store only carries
 //! the out-of-band rendezvous state, exactly like Horovod's driver store.
 //!
@@ -37,9 +41,10 @@
 //! jitter (hash of operation name and attempt — no wall-clock entropy).
 //! Retries are counted under `ulfm.netjoin.store_retries`.
 
-use crate::universe::{JoinService, JoinTicket};
+use crate::universe::JoinTicket;
 use crate::UlfmError;
 use gloo::{Store, StoreUnavailable};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::RankId;
 
@@ -100,11 +105,11 @@ fn decode_ticket(bytes: &[u8]) -> Option<JoinTicket> {
     })
 }
 
-/// [`JoinService`] over a rendezvous [`Store`]: the network counterpart of
-/// the in-process `JoinServer`, used by every rank of a multi-process
-/// elastic job (members and joiners alike share the same store prefix).
-pub struct NetJoin<S: Store> {
-    store: S,
+/// The join service over a rendezvous [`Store`]. Every rank of a job —
+/// members, joiners and spares alike — holds a handle onto the same store
+/// and prefix. All methods may be called from multiple threads.
+pub struct NetJoin {
+    store: Arc<dyn Store>,
     prefix: String,
     /// This process's dialable listener address; published with announce
     /// (joiners) or via [`NetJoin::publish_contact`] (members) so peers can
@@ -112,10 +117,10 @@ pub struct NetJoin<S: Store> {
     contact: Option<String>,
 }
 
-impl<S: Store> NetJoin<S> {
+impl NetJoin {
     /// A join service rooted at `prefix` (typically `"{run_id}/"`; keys for
     /// distinct runs must not collide).
-    pub fn new(store: S, prefix: impl Into<String>) -> Self {
+    pub fn new(store: Arc<dyn Store>, prefix: impl Into<String>) -> Self {
         Self {
             store,
             prefix: prefix.into(),
@@ -132,7 +137,7 @@ impl<S: Store> NetJoin<S> {
 
     /// Publish this process's contact address under the member-address key
     /// for `rank`. Established members call this once after binding so
-    /// late joiners can dial them (see [`JoinService::contact`]).
+    /// late joiners can dial them (see [`NetJoin::contact`]).
     pub fn publish_contact(&self, rank: RankId) {
         let addr = self.contact.clone().unwrap_or_default();
         self.retry("publish_contact", || {
@@ -141,16 +146,10 @@ impl<S: Store> NetJoin<S> {
         });
     }
 
-    fn announce_key(&self, rank: RankId) -> String {
-        format!("{}join/announce/{:08}", self.prefix, rank.0)
-    }
-
-    fn spare_key(&self, rank: RankId) -> String {
-        format!("{}join/spare/{:08}", self.prefix, rank.0)
-    }
-
-    fn ticket_key(&self, rank: RankId) -> String {
-        format!("{}join/ticket/{:08}", self.prefix, rank.0)
+    /// The key of `rank` in the `join/{ns}/` namespace (`announce`,
+    /// `spare` or `ticket`).
+    fn join_key(&self, ns: &str, rank: RankId) -> String {
+        format!("{}join/{ns}/{:08}", self.prefix, rank.0)
     }
 
     fn abort_key(&self) -> String {
@@ -197,77 +196,138 @@ impl<S: Store> NetJoin<S> {
     fn key_rank(key: &str) -> Option<RankId> {
         key.rsplit('/').next()?.parse::<usize>().ok().map(RankId)
     }
-}
 
-impl<S: Store> JoinService for NetJoin<S> {
-    fn announce(&self, rank: RankId) {
+    /// A new worker announces itself as ready to join.
+    pub fn announce(&self, rank: RankId) {
+        self.announce_into("announce", rank);
+    }
+
+    /// Total announcements ever made (monotone): members wait for an
+    /// expected joiner count on it without racing admission timing.
+    pub fn announced_total(&self) -> u64 {
+        self.total("announce")
+    }
+
+    /// Sorted snapshot of joiners awaiting admission, filtered by `alive`
+    /// so dead joiners are not re-proposed forever. Non-destructive: a
+    /// pending entry is only cleared by a committed
+    /// [`NetJoin::confirm_tickets`].
+    pub fn snapshot_pending(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
+        self.unticketed("announce", alive)
+    }
+
+    /// Publish `rank` under the `join/{ns}/` namespace with this process's
+    /// address. A joiner or spare with a contact also mirrors it under the
+    /// member-address key: once its merge commits it *is* a member, and
+    /// later joiners dial it there.
+    fn announce_into(&self, ns: &str, rank: RankId) {
+        let key = self.join_key(ns, rank);
         let addr = self.contact.clone().unwrap_or_default();
-        self.retry("announce", || {
-            self.store
-                .try_set(&self.announce_key(rank), addr.clone().into_bytes())
-        });
+        self.retry(ns, || self.store.try_set(&key, addr.clone().into_bytes()));
         if self.contact.is_some() {
-            // Mirror under the member-address key: after the merge commits
-            // this joiner *is* a member, and later joiners dial it there.
             self.publish_contact(rank);
         }
     }
 
-    fn announced_total(&self) -> u64 {
-        let prefix = format!("{}join/announce/", self.prefix);
-        self.retry("announced_total", || self.store.try_count_prefix(&prefix))
+    /// Keys ever published under `join/{ns}/` (monotone: never deleted).
+    fn total(&self, ns: &str) -> u64 {
+        let prefix = format!("{}join/{ns}/", self.prefix);
+        self.retry("total", || self.store.try_count_prefix(&prefix))
             .unwrap_or(0) as u64
     }
 
-    fn snapshot_pending(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
-        let ann_prefix = format!("{}join/announce/", self.prefix);
-        let tkt_prefix = format!("{}join/ticket/", self.prefix);
-        let Some(announced) =
-            self.retry("scan_announced", || self.store.try_scan_prefix(&ann_prefix))
-        else {
+    /// Every `(rank, value)` under `join/{ns}/`, in rank order (zero-padded
+    /// keys scan sorted). `None` if the store stayed unavailable.
+    fn scan(&self, ns: &str) -> Option<Vec<(RankId, Vec<u8>)>> {
+        let prefix = format!("{}join/{ns}/", self.prefix);
+        let pairs = self.retry(ns, || self.store.try_scan_prefix(&prefix))?;
+        Some(
+            pairs
+                .into_iter()
+                .filter_map(|(k, v)| Some((Self::key_rank(&k)?, v)))
+                .collect(),
+        )
+    }
+
+    /// Ranks announced under `join/{ns}/` that hold no ticket key yet,
+    /// filtered by `alive`. A ticket key is a committed admission or
+    /// promotion, a dismissal, or a forgotten dead rank; all of them leave
+    /// the set. Sorted by rank.
+    fn unticketed(&self, ns: &str, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
+        let Some(announced) = self.scan(ns) else {
             return Vec::new();
         };
         let ticketed: Vec<RankId> = self
-            .retry("scan_ticketed", || self.store.try_scan_prefix(&tkt_prefix))
+            .scan("ticket")
             .unwrap_or_default()
-            .iter()
-            .filter_map(|(k, _)| Self::key_rank(k))
+            .into_iter()
+            .map(|(r, _)| r)
             .collect();
-        // Zero-padded keys scan in rank order, so the pending set is sorted.
         announced
-            .iter()
-            .filter_map(|(k, _)| Self::key_rank(k))
+            .into_iter()
+            .map(|(r, _)| r)
             .filter(|r| !ticketed.contains(r) && alive(*r))
             .collect()
     }
 
-    fn pending_count(&self) -> usize {
+    /// Announced joiners holding a committed ticket. Only admission
+    /// commits raise it (and a view change that forgets an admitted joiner
+    /// after its death lowers it), so members that have passed the same
+    /// commits read the same count.
+    pub fn admitted_total(&self) -> u64 {
+        let announced: Vec<RankId> = self
+            .scan("announce")
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
+        self.scan("ticket")
+            .unwrap_or_default()
+            .iter()
+            .filter(|(r, v)| v != DISMISS_SENTINEL && announced.contains(r))
+            .count() as u64
+    }
+
+    /// How many workers are waiting to join.
+    pub fn pending_count(&self) -> usize {
         self.snapshot_pending(&|_| true).len()
     }
 
-    fn confirm_tickets(&self, joiners: &[RankId], ticket: &JoinTicket) {
+    /// A *committed* admission: issue the merged-group ticket to each
+    /// joiner, which also retires it from the pending set (and a promoted
+    /// spare from the pool). Idempotent — every surviving member issues the
+    /// identical ticket after the commit agreement, so no single leader
+    /// death can strand a decided joiner.
+    pub fn confirm_tickets(&self, joiners: &[RankId], ticket: &JoinTicket) {
         let bytes = encode_ticket(ticket);
         for &j in joiners {
             // Idempotent: every surviving member writes the identical
             // committed ticket, so re-confirmation after leader death is a
             // harmless overwrite.
             self.retry("confirm_ticket", || {
-                self.store.try_set(&self.ticket_key(j), bytes.clone())
+                self.store
+                    .try_set(&self.join_key("ticket", j), bytes.clone())
             });
         }
     }
 
-    fn abort(&self) {
+    /// Abort the join service: every pending joiner and spare stops
+    /// waiting and exits.
+    pub fn abort(&self) {
         self.retry("abort", || self.store.try_set(&self.abort_key(), vec![1]));
     }
 
-    fn wait_ticket(
+    /// A joiner blocks until its ticket arrives, it dies, the computation
+    /// aborts, or `deadline` passes (`Err(JoinTimeout)` — an orphaned
+    /// joiner must exit rather than hang when the accepting group has
+    /// completed or given up without aborting explicitly).
+    pub fn wait_ticket(
         &self,
         rank: RankId,
         is_alive: &dyn Fn() -> bool,
         deadline: Option<Instant>,
     ) -> Result<JoinTicket, UlfmError> {
-        let key = self.ticket_key(rank);
+        let key = self.join_key("ticket", rank);
         loop {
             // A transient scan failure is indistinguishable from "no ticket
             // yet"; the poll loop itself is the retry.
@@ -302,78 +362,65 @@ impl<S: Store> JoinService for NetJoin<S> {
         }
     }
 
-    fn contact(&self, rank: RankId) -> Option<String> {
+    /// The published contact address of `rank`: its member-address key,
+    /// else the address it announced with. `None` when it published no
+    /// address (in-process ranks have nothing to dial).
+    pub fn contact(&self, rank: RankId) -> Option<String> {
         let bytes = self
             .get(&self.addr_key(rank))
-            .or_else(|| self.get(&self.announce_key(rank)))
-            .or_else(|| self.get(&self.spare_key(rank)))?;
+            .or_else(|| self.get(&self.join_key("announce", rank)))
+            .or_else(|| self.get(&self.join_key("spare", rank)))?;
         if bytes.is_empty() {
             return None;
         }
         String::from_utf8(bytes).ok()
     }
 
-    fn announce_spare(&self, rank: RankId) {
-        let addr = self.contact.clone().unwrap_or_default();
-        self.retry("announce_spare", || {
-            self.store
-                .try_set(&self.spare_key(rank), addr.clone().into_bytes())
-        });
-        if self.contact.is_some() {
-            // A promoted spare becomes a member; later joiners dial it via
-            // the member-address key, same as a committed joiner.
-            self.publish_contact(rank);
-        }
+    /// A standby worker announces itself into the *warm spare pool* — a
+    /// namespace separate from the joiner pending set, so epoch-boundary
+    /// admission never drains workers being held back to absorb failures.
+    /// A spare waits for its promotion ticket via [`NetJoin::wait_ticket`],
+    /// exactly like a joiner.
+    pub fn announce_spare(&self, rank: RankId) {
+        self.announce_into("spare", rank);
     }
 
-    fn spare_total(&self) -> u64 {
-        let prefix = format!("{}join/spare/", self.prefix);
-        self.retry("spare_total", || self.store.try_count_prefix(&prefix))
-            .unwrap_or(0) as u64
+    /// Total spare announcements ever made (monotone, like
+    /// [`NetJoin::announced_total`]).
+    pub fn spare_total(&self) -> u64 {
+        self.total("spare")
     }
 
-    fn snapshot_spares(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
-        let spare_prefix = format!("{}join/spare/", self.prefix);
-        let tkt_prefix = format!("{}join/ticket/", self.prefix);
-        let Some(announced) =
-            self.retry("scan_spares", || self.store.try_scan_prefix(&spare_prefix))
-        else {
-            return Vec::new();
-        };
-        // A ticketed spare is either promoted or dismissed; both leave the
-        // pool. Announce keys stay monotone, like the joiner pending set.
-        let ticketed: Vec<RankId> = self
-            .retry("scan_ticketed", || self.store.try_scan_prefix(&tkt_prefix))
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|(k, _)| Self::key_rank(k))
-            .collect();
-        announced
-            .iter()
-            .filter_map(|(k, _)| Self::key_rank(k))
-            .filter(|r| !ticketed.contains(r) && alive(*r))
-            .collect()
+    /// Sorted snapshot of spares awaiting promotion, filtered by `alive`.
+    /// Non-destructive: a spare leaves the pool only through a committed
+    /// [`NetJoin::confirm_tickets`] or [`NetJoin::dismiss_spare`].
+    pub fn snapshot_spares(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
+        self.unticketed("spare", alive)
     }
 
-    fn dismiss_spare(&self, rank: RankId) {
+    /// Dismiss one waiting spare: it wakes from [`NetJoin::wait_ticket`]
+    /// with [`UlfmError::Aborted`] and exits. Called by completing workers
+    /// so unused spares do not idle until their deadline. Idempotent.
+    pub fn dismiss_spare(&self, rank: RankId) {
         // The sentinel doubles as the "ticketed" marker that removes the
         // spare from every future snapshot — idempotent by overwrite.
         self.retry("dismiss_spare", || {
             self.store
-                .try_set(&self.ticket_key(rank), DISMISS_SENTINEL.to_vec())
+                .try_set(&self.join_key("ticket", rank), DISMISS_SENTINEL.to_vec())
         });
     }
 
-    fn forget(&self, rank: RankId) {
-        // The dismissal sentinel is the store-backed "ticketed" marker that
-        // retires the rank from pending *and* spare snapshots. The rank is
-        // dead, so nothing will ever poll the sentinel back — writing it is
-        // pure bookkeeping, and idempotent: every survivor installing the
-        // same view delta overwrites the same key.
-        self.retry("forget", || {
-            self.store
-                .try_set(&self.ticket_key(rank), DISMISS_SENTINEL.to_vec())
-        });
+    /// Retire a rank the view change agreed is **dead** from join-side
+    /// bookkeeping: it leaves the pending-joiner set and the warm spare
+    /// pool, so a burst that kills a parked spare does not leave a ghost
+    /// entry to be re-proposed forever. Idempotent.
+    pub fn forget(&self, rank: RankId) {
+        // The dismissal sentinel is the "ticketed" marker that retires the
+        // rank from pending *and* spare snapshots. The rank is dead, so
+        // nothing will ever poll the sentinel back — writing it is pure
+        // bookkeeping, and every survivor installing the same view delta
+        // overwrites the same key.
+        self.dismiss_spare(rank);
     }
 }
 
@@ -381,7 +428,6 @@ impl<S: Store> JoinService for NetJoin<S> {
 mod tests {
     use super::*;
     use gloo::{KvStore, StoreFaults};
-    use std::sync::Arc;
 
     fn ticket() -> JoinTicket {
         JoinTicket {
@@ -408,7 +454,7 @@ mod tests {
     #[test]
     fn announce_snapshot_confirm_wait() {
         let store = KvStore::shared();
-        let j = NetJoin::new(Arc::clone(&store), "run/");
+        let j = NetJoin::new(store.clone(), "run/");
         j.announce(RankId(4));
         j.announce(RankId(3));
         assert_eq!(j.announced_total(), 2);
@@ -421,13 +467,14 @@ mod tests {
         // Ticketed joiners leave the pending set; announce stays monotone.
         assert_eq!(j.snapshot_pending(&|_| true), vec![RankId(4)]);
         assert_eq!(j.announced_total(), 2);
+        assert_eq!(j.admitted_total(), 1);
         assert_eq!(j.wait_ticket(RankId(3), &|| true, None), Ok(t));
     }
 
     #[test]
     fn wait_ticket_deadline_alive_and_abort() {
         let store = KvStore::shared();
-        let j = NetJoin::new(Arc::clone(&store), "run/");
+        let j = NetJoin::new(store.clone(), "run/");
         let deadline = Some(Instant::now() + Duration::from_millis(15));
         assert_eq!(
             j.wait_ticket(RankId(7), &|| true, deadline),
@@ -447,14 +494,14 @@ mod tests {
     #[test]
     fn contact_prefers_member_addr_then_announce() {
         let store = KvStore::shared();
-        let member = NetJoin::new(Arc::clone(&store), "run/").with_contact("127.0.0.1:9000");
+        let member = NetJoin::new(store.clone(), "run/").with_contact("127.0.0.1:9000");
         member.publish_contact(RankId(0));
-        let joiner = NetJoin::new(Arc::clone(&store), "run/").with_contact("127.0.0.1:9001");
+        let joiner = NetJoin::new(store.clone(), "run/").with_contact("127.0.0.1:9001");
         joiner.announce(RankId(3));
-        let bare = NetJoin::new(Arc::clone(&store), "run/");
+        let bare = NetJoin::new(store.clone(), "run/");
         bare.announce(RankId(5));
 
-        let probe = NetJoin::new(Arc::clone(&store), "run/");
+        let probe = NetJoin::new(store.clone(), "run/");
         assert_eq!(probe.contact(RankId(0)), Some("127.0.0.1:9000".into()));
         assert_eq!(probe.contact(RankId(3)), Some("127.0.0.1:9001".into()));
         assert_eq!(probe.contact(RankId(5)), None, "empty announce ⇒ no addr");
@@ -464,9 +511,9 @@ mod tests {
     #[test]
     fn spare_pool_announce_snapshot_promote_dismiss() {
         let store = KvStore::shared();
-        let j = NetJoin::new(Arc::clone(&store), "run/").with_contact("127.0.0.1:9100");
+        let j = NetJoin::new(store.clone(), "run/").with_contact("127.0.0.1:9100");
         j.announce_spare(RankId(8));
-        let bare = NetJoin::new(Arc::clone(&store), "run/");
+        let bare = NetJoin::new(store.clone(), "run/");
         bare.announce_spare(RankId(6));
         assert_eq!(j.spare_total(), 2);
         // Spares live apart from the joiner pending set.
@@ -497,10 +544,32 @@ mod tests {
     }
 
     #[test]
+    fn forget_retires_a_dead_rank_from_pending_and_spares() {
+        let store = KvStore::shared();
+        let j = NetJoin::new(store.clone(), "run/");
+        j.announce(RankId(3));
+        j.announce(RankId(4));
+        j.announce_spare(RankId(6));
+        j.announce_spare(RankId(7));
+        j.forget(RankId(3));
+        j.forget(RankId(6));
+        let (pending, spares) = (j.snapshot_pending(&|_| true), j.snapshot_spares(&|_| true));
+        assert_eq!(pending, vec![RankId(4)]);
+        assert_eq!(spares, vec![RankId(7)]);
+        // Idempotent: a second survivor installing the same view delta
+        // changes nothing, and announce totals stay monotone.
+        j.forget(RankId(3));
+        j.forget(RankId(6));
+        assert_eq!(j.snapshot_pending(&|_| true), pending);
+        assert_eq!(j.snapshot_spares(&|_| true), spares);
+        assert_eq!((j.announced_total(), j.spare_total()), (2, 2));
+    }
+
+    #[test]
     fn transient_store_failures_are_retried_and_counted() {
         let before = telemetry::counter("ulfm.netjoin.store_retries").get();
         let store = KvStore::shared_flaky(StoreFaults::rate(0.8, 11));
-        let j = NetJoin::new(Arc::clone(&store), "flaky/");
+        let j = NetJoin::new(store.clone(), "flaky/");
         j.announce(RankId(2));
         let t = ticket();
         j.confirm_tickets(&[RankId(2)], &t);

@@ -5,12 +5,17 @@
 //! real machine): it launches workers, assigns permanent rank ids, lets an
 //! external driver inject failures, and provides the out-of-band channel
 //! through which *new* workers join a running computation (the paper's
-//! replacement and upscaling scenarios).
+//! replacement and upscaling scenarios). That channel is always a
+//! [`NetJoin`]: over a private in-memory [`gloo::KvStore`] for an
+//! in-process universe, or over the job's shared store when a launcher
+//! hands one to [`Universe::for_backend_with_join`] — so threads and real
+//! processes run one and the same join protocol.
 
 use crate::comm::Communicator;
 use crate::error::UlfmError;
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::netjoin::NetJoin;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,242 +59,9 @@ pub struct JoinTicket {
     /// from zero, while members have been interning ids since launch;
     /// adopting the members' id (and bumping the interner past it) keeps
     /// the SPMD id sequence aligned from the merge onward. `None` on
-    /// tickets minted by code predating this field (the in-process test
-    /// helpers), in which case the joiner interns the key itself — correct
-    /// there because the interner is shared.
+    /// hand-built tickets (unit tests), in which case the joiner interns
+    /// the key itself — correct when the interner is shared in-process.
     pub comm_id: Option<u64>,
-}
-
-/// The out-of-band join rendezvous, abstracted: how a new worker announces
-/// itself, how members discover and ticket pending joiners, and how a
-/// joiner learns its admission. Two implementations exist — the in-process
-/// [`JoinServer`] (one shared instance per [`Universe`]) and the
-/// store-backed [`crate::NetJoin`] used by multi-process jobs, where every
-/// process holds its own handle onto a shared KV namespace.
-///
-/// All methods must be callable from multiple threads; `announce` totals
-/// must be monotone so members can wait for an expected joiner count
-/// without racing admission timing.
-pub trait JoinService: Send + Sync {
-    /// A new worker announces itself as ready to join.
-    fn announce(&self, rank: RankId);
-
-    /// Total announcements ever made (monotone).
-    fn announced_total(&self) -> u64;
-
-    /// Sorted snapshot of joiners awaiting admission, filtered by `alive`
-    /// so dead joiners are not re-proposed forever. Non-destructive: a
-    /// pending entry is only cleared by a committed
-    /// [`JoinService::confirm_tickets`].
-    fn snapshot_pending(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId>;
-
-    /// How many workers are waiting to join.
-    fn pending_count(&self) -> usize;
-
-    /// A *committed* admission: issue the merged-group ticket to each
-    /// joiner and retire it from the pending set. Idempotent — every
-    /// surviving member issues the identical ticket after the commit
-    /// agreement, so no single leader death can strand a decided joiner.
-    fn confirm_tickets(&self, joiners: &[RankId], ticket: &JoinTicket);
-
-    /// Abort the join service: wake and dismiss every pending joiner.
-    fn abort(&self);
-
-    /// A joiner blocks until its ticket arrives, it dies, the computation
-    /// aborts, or `deadline` passes (`Err(JoinTimeout)` — an orphaned
-    /// joiner must exit rather than hang when the accepting group has
-    /// completed or given up without aborting explicitly).
-    fn wait_ticket(
-        &self,
-        rank: RankId,
-        is_alive: &dyn Fn() -> bool,
-        deadline: Option<Instant>,
-    ) -> Result<JoinTicket, UlfmError>;
-
-    /// The published contact address of `rank`, if the service knows one
-    /// (the network implementation records each announcer's dialable
-    /// listener address so late links can be established at ticket time).
-    /// In-process there is nothing to dial.
-    fn contact(&self, rank: RankId) -> Option<String> {
-        let _ = rank;
-        None
-    }
-
-    /// A standby worker announces itself into the *warm spare pool* — a
-    /// namespace separate from the joiner pending set, so epoch-boundary
-    /// admission never drains workers being held back to absorb failures.
-    /// A spare waits for its promotion ticket via
-    /// [`JoinService::wait_ticket`], exactly like a joiner.
-    fn announce_spare(&self, rank: RankId);
-
-    /// Total spare announcements ever made (monotone, like
-    /// [`JoinService::announced_total`]) — lets members wait
-    /// deterministically for an expected spare-pool size before training.
-    fn spare_total(&self) -> u64;
-
-    /// Sorted snapshot of spares awaiting promotion, filtered by `alive`.
-    /// Non-destructive: a spare leaves the pool only through a committed
-    /// [`JoinService::confirm_tickets`] or [`JoinService::dismiss_spare`].
-    fn snapshot_spares(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId>;
-
-    /// Dismiss one waiting spare: it wakes from
-    /// [`JoinService::wait_ticket`] with [`UlfmError::Aborted`] and exits.
-    /// Called by completing workers so unused spares do not idle until
-    /// their deadline. Idempotent.
-    fn dismiss_spare(&self, rank: RankId);
-
-    /// Retire a rank the view change agreed is **dead** from join-side
-    /// bookkeeping: remove it from the pending-joiner set and the warm
-    /// spare pool. Unlike [`JoinService::dismiss_spare`] there is nothing
-    /// to wake — the rank no longer exists — so no dismissal marker is
-    /// left behind and the id could in principle be reused. Called by
-    /// view-delta installation so a burst that kills a parked spare does
-    /// not leave a ghost entry to be re-proposed forever. Idempotent.
-    fn forget(&self, rank: RankId);
-}
-
-#[derive(Default)]
-struct JoinState {
-    /// Announced joiners whose admission has not yet *committed*. The set
-    /// is deliberately non-destructive: a leader snapshots it without
-    /// draining, so if the leader dies mid-handshake the surviving lowest
-    /// rank still sees the same pending joiners and re-tickets them
-    /// (join-leader failover).
-    pending: BTreeSet<RankId>,
-    tickets: HashMap<RankId, JoinTicket>,
-    /// Warm spares awaiting promotion — kept apart from `pending` so the
-    /// epoch-boundary join path never drains the spare pool.
-    spares: BTreeSet<RankId>,
-    /// Spares individually dismissed by a completing run; their
-    /// `wait_ticket` returns `Aborted` so they exit instead of idling to
-    /// their deadline.
-    dismissed: BTreeSet<RankId>,
-    /// Set when the computation aborts (e.g. shrunk below the minimum
-    /// world size): pending joiners must stop waiting and exit.
-    aborted: bool,
-}
-
-/// Out-of-band join service (the "rendezvous" of the MPI world).
-pub(crate) struct JoinServer {
-    state: Mutex<JoinState>,
-    cv: Condvar,
-    /// Monotone count of announcements ever made — lets existing members
-    /// wait deterministically for an expected number of joiners without
-    /// racing against admission timing.
-    announced: AtomicU64,
-    /// Monotone count of spare-pool announcements ever made.
-    spare_announced: AtomicU64,
-}
-
-impl JoinServer {
-    pub(crate) fn new() -> Self {
-        Self {
-            state: Mutex::new(JoinState::default()),
-            cv: Condvar::new(),
-            announced: AtomicU64::new(0),
-            spare_announced: AtomicU64::new(0),
-        }
-    }
-}
-
-impl JoinService for JoinServer {
-    fn announce(&self, rank: RankId) {
-        self.state.lock().pending.insert(rank);
-        self.announced.fetch_add(1, Ordering::SeqCst);
-        self.cv.notify_all();
-    }
-
-    fn announced_total(&self) -> u64 {
-        self.announced.load(Ordering::SeqCst)
-    }
-
-    fn snapshot_pending(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
-        self.state
-            .lock()
-            .pending
-            .iter()
-            .copied()
-            .filter(|&r| alive(r))
-            .collect()
-    }
-
-    fn pending_count(&self) -> usize {
-        self.state.lock().pending.len()
-    }
-
-    fn confirm_tickets(&self, joiners: &[RankId], ticket: &JoinTicket) {
-        let mut st = self.state.lock();
-        for &j in joiners {
-            st.pending.remove(&j);
-            // A promoted spare leaves the pool the same way a joiner
-            // leaves the pending set: through the committed ticket.
-            st.spares.remove(&j);
-            st.tickets.insert(j, ticket.clone());
-        }
-        self.cv.notify_all();
-    }
-
-    fn abort(&self) {
-        self.state.lock().aborted = true;
-        self.cv.notify_all();
-    }
-
-    fn wait_ticket(
-        &self,
-        rank: RankId,
-        is_alive: &dyn Fn() -> bool,
-        deadline: Option<Instant>,
-    ) -> Result<JoinTicket, UlfmError> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(t) = st.tickets.remove(&rank) {
-                return Ok(t);
-            }
-            if st.aborted || st.dismissed.contains(&rank) {
-                return Err(UlfmError::Aborted);
-            }
-            if !is_alive() {
-                return Err(UlfmError::SelfDied);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(UlfmError::JoinTimeout);
-            }
-            self.cv.wait_for(&mut st, Duration::from_micros(200));
-        }
-    }
-
-    fn announce_spare(&self, rank: RankId) {
-        self.state.lock().spares.insert(rank);
-        self.spare_announced.fetch_add(1, Ordering::SeqCst);
-        self.cv.notify_all();
-    }
-
-    fn spare_total(&self) -> u64 {
-        self.spare_announced.load(Ordering::SeqCst)
-    }
-
-    fn snapshot_spares(&self, alive: &dyn Fn(RankId) -> bool) -> Vec<RankId> {
-        self.state
-            .lock()
-            .spares
-            .iter()
-            .copied()
-            .filter(|&r| alive(r))
-            .collect()
-    }
-
-    fn dismiss_spare(&self, rank: RankId) {
-        let mut st = self.state.lock();
-        st.spares.remove(&rank);
-        st.dismissed.insert(rank);
-        self.cv.notify_all();
-    }
-
-    fn forget(&self, rank: RankId) {
-        let mut st = self.state.lock();
-        st.pending.remove(&rank);
-        st.spares.remove(&rank);
-    }
 }
 
 /// How this universe's process relates to the job: either it *is* the job
@@ -308,12 +80,18 @@ pub(crate) enum Runtime {
 /// Signal-payload discriminant for a communicator revocation broadcast.
 const SIGNAL_REVOKE: u8 = 1;
 
+/// A join service nobody outside this universe can reach: a [`NetJoin`]
+/// over a fresh in-memory store.
+fn private_join() -> Arc<NetJoin> {
+    Arc::new(NetJoin::new(gloo::KvStore::shared(), ""))
+}
+
 pub(crate) struct Shared {
     pub(crate) runtime: Runtime,
     pub(crate) revoked: RwLock<HashSet<u64>>,
     comm_ids: Mutex<HashMap<CommKey, u64>>,
     next_comm_id: AtomicU64,
-    pub(crate) join: Arc<dyn JoinService>,
+    pub(crate) join: Arc<NetJoin>,
     next_batch: AtomicU64,
     join_epoch: AtomicU64,
 }
@@ -582,6 +360,14 @@ impl Proc {
         self.shared.join.announced_total()
     }
 
+    /// Joiners admitted so far: announced joiners holding a committed
+    /// ticket. Only admission commits change it, so every member that has
+    /// passed the same commits reads the same value — a uniform test for
+    /// "an expected joiner is still waiting".
+    pub fn admitted_joiners(&self) -> u64 {
+        self.shared.join.admitted_total()
+    }
+
     /// Total spare-pool announcements ever made on this universe (monotone).
     /// Members wait on this before training so the warm pool is actually
     /// warm when the first failure hits.
@@ -613,7 +399,8 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Create a universe over `topology` with a scripted fault plan.
+    /// Create a universe over `topology` with a scripted fault plan. Its
+    /// join service is a [`NetJoin`] over a private in-memory store.
     pub fn new(topology: Topology, plan: FaultPlan) -> Self {
         Self {
             shared: Arc::new(Shared {
@@ -621,7 +408,7 @@ impl Universe {
                 revoked: RwLock::new(HashSet::new()),
                 comm_ids: Mutex::new(HashMap::new()),
                 next_comm_id: AtomicU64::new(0),
-                join: Arc::new(JoinServer::new()),
+                join: private_join(),
                 next_batch: AtomicU64::new(0),
                 join_epoch: AtomicU64::new(0),
             }),
@@ -642,25 +429,25 @@ impl Universe {
     /// The universe state is process-local: communicator ids come out of a
     /// per-process interner (deterministic across processes, see
     /// [`Shared::intern_comm`]) and revocations are relayed to peers as
-    /// backend signals. The join service defaults to a process-local
-    /// [`JoinServer`], which no other process can reach — dynamic joins in
-    /// multi-process mode need a shared service; see
-    /// [`Universe::for_backend_with_join`] and [`crate::NetJoin`].
+    /// backend signals. The join service is a [`NetJoin`] over a private
+    /// in-memory store, which no other process can reach — dynamic joins
+    /// in multi-process mode need the job's shared store; see
+    /// [`Universe::for_backend_with_join`].
     /// `spawn_*`, `kill_*`, and [`Universe::fabric`] return
     /// [`UlfmError::NoSharedFabric`], because there is no shared fabric to
     /// operate on; real process management belongs to the launcher.
     pub fn for_backend(ep: Endpoint, group: Vec<RankId>) -> (Self, Proc) {
-        Self::for_backend_with_join(ep, group, Arc::new(JoinServer::new()))
+        Self::for_backend_with_join(ep, group, private_join())
     }
 
     /// [`Universe::for_backend`] with an explicit join service — pass a
-    /// store-backed [`crate::NetJoin`] (every process holding a handle onto
-    /// the same KV namespace) to enable Replace/Upscale joins across real
-    /// process boundaries.
+    /// [`NetJoin`] over the job's shared store (every process holding a
+    /// handle onto the same KV namespace) to enable Replace/Upscale joins
+    /// across real process boundaries.
     pub fn for_backend_with_join(
         ep: Endpoint,
         group: Vec<RankId>,
-        join: Arc<dyn JoinService>,
+        join: Arc<NetJoin>,
     ) -> (Self, Proc) {
         assert!(
             group.contains(&ep.rank()),
@@ -698,7 +485,7 @@ impl Universe {
     /// itself) and is expected to call [`Proc::join_training`] — announcing
     /// through the shared `join` service — to merge into the running
     /// computation.
-    pub fn joiner_for_backend(ep: Endpoint, join: Arc<dyn JoinService>) -> (Self, Proc) {
+    pub fn joiner_for_backend(ep: Endpoint, join: Arc<NetJoin>) -> (Self, Proc) {
         let rank = ep.rank();
         Self::for_backend_with_join(ep, vec![rank], join)
     }

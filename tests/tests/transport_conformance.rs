@@ -245,10 +245,10 @@ fn clean_teardown_is_prompt_and_never_a_suspicion() {
 
 // ---------------------------------------------------------------------------
 // Elastic-join conformance: a joiner death at either join fault point must
-// leave the group progressing, on every backend. The join rendezvous and
-// link bootstrap are exactly what differ per backend (shared JoinServer
-// in-process, store-backed NetJoin + socket dials for Tcp/Unix), so these
-// run the full scenario harness rather than raw endpoints.
+// leave the group progressing, on every backend. Link bootstrap is what
+// differs per backend (one shared fabric in-process, socket dials for
+// Tcp/Unix; the NetJoin rendezvous is the same on all three), so these run
+// the full scenario harness rather than raw endpoints.
 // ---------------------------------------------------------------------------
 
 use elastic::scenario::{Engine, ScenarioKind};
